@@ -2,7 +2,7 @@
 
 These quantify the simulator itself: interactions/second of the generic
 sequential engine on each protocol, effective interactions/second of the
-exact-jump fast path and the count-based engine, and the history-tree
+count-based engine's jump mode, and the history-tree
 operations that dominate Sublinear-Time-SSR's cost.  They are the
 numbers that justify the fast-path design (see DESIGN.md, "repro_why"
 note, and docs/performance.md).
@@ -14,7 +14,9 @@ Three entry points:
   smoke (repeated timed passes per cell, reporting mean/stdev) that
   records interactions/second per engine and the count/generic speedup
   ratio; CI runs this and fails if the count engine falls below 50x
-  the generic engine on SilentNStateSSR at n=1024.
+  the generic engine on SilentNStateSSR at n=1024, or if class-pruned
+  jump classification's bootstrap CI over the full scan (the same
+  engine with ``silent_class`` hidden) at n=8192 dips under 10x.
 * ``repro bench --suite engine`` — the ledgered harness entry point
   (:func:`bench_suite` below): the same cells with repeats, gated
   statistically against a stored baseline by
@@ -30,11 +32,9 @@ import time
 import pytest
 
 from repro.core.countsim import CountSimulation
-from repro.core.fastpath import CiwJumpSimulator, worst_case_ciw_counts
-from repro.core.kernel import numpy_available, select_count_engine
 from repro.core.rng import make_rng
 from repro.core.simulation import Simulation
-from repro.protocols.cai_izumi_wada import SilentNStateSSR
+from repro.protocols.cai_izumi_wada import SilentNStateSSR, worst_case_ciw_counts
 from repro.protocols.optimal_silent import OptimalSilentSSR
 from repro.protocols.parameters import calibrated_sublinear
 from repro.protocols.sublinear.detect_collision import find_collision, merge_histories
@@ -43,9 +43,9 @@ from repro.protocols.sublinear.protocol import SublinearTimeSSR
 STEPS = 20_000
 SMOKE_SEED = 1234
 MIN_COUNT_SPEEDUP = 50.0
-#: The vector kernel must beat the count engine by at least this factor
-#: at n=8192 (ISSUE acceptance: bootstrap-CI separated, not just means).
-MIN_VECTOR_SPEEDUP = 10.0
+#: Class-pruned classification must beat the full scan by at least this
+#: factor at n=8192 (bootstrap-CI separated, not just means).
+MIN_PRUNING_SPEEDUP = 10.0
 
 
 @pytest.mark.benchmark(group="engine-throughput")
@@ -72,27 +72,28 @@ def test_generic_engine_sublinear_h1(benchmark, seed):
     benchmark(lambda: sim.run(2_000))
 
 
-@pytest.mark.benchmark(group="engine-throughput")
-def test_fastpath_effective_interactions(benchmark, seed):
-    """The jump simulator accounts for millions of interactions per call."""
+def _count_engine_convergence(n: int, seed: int, full_scan: bool = False) -> int:
+    """Run the count engine to silence from the CIW worst case.
 
-    def converge():
-        sim = CiwJumpSimulator(worst_case_ciw_counts(512), make_rng(seed, "fp"))
-        return sim.run_to_convergence()
-
-    interactions = benchmark(converge)
-    assert interactions > 10_000_000  # Theta(n^3) accounted in milliseconds
-
-
-def _count_engine_convergence(n: int, seed: int) -> int:
-    """Run the count engine to silence from the CIW worst case."""
+    ``full_scan`` hides ``silent_class`` so jump-mode entry probes all
+    O(n^2) slot pairs; the trajectory is identical either way.
+    """
     protocol = SilentNStateSSR(n)
+    if full_scan:
+        protocol.silent_class = None
     states = protocol.counts_to_configuration(worst_case_ciw_counts(n))
     sim = CountSimulation(
         protocol, states, rng=make_rng(seed, "count-eng", n), mode="jump"
     )
     sim.run_until_silent()
     return sim.interactions
+
+
+@pytest.mark.benchmark(group="engine-throughput")
+def test_jump_mode_effective_interactions(benchmark, seed):
+    """Jump mode accounts for millions of interactions per call."""
+    interactions = benchmark(_count_engine_convergence, 512, seed)
+    assert interactions > 10_000_000  # Theta(n^3) accounted in milliseconds
 
 
 @pytest.mark.benchmark(group="engine-throughput")
@@ -104,35 +105,18 @@ def test_count_engine_ciw_1024(benchmark, seed):
 
 @pytest.mark.benchmark(group="engine-throughput")
 def test_count_engine_ciw_8192(benchmark, seed):
-    """Large-n cell; cost is dominated by one-time pair classification."""
+    """Large-n cell; class pruning keeps jump-mode entry O(n)."""
     interactions = benchmark.pedantic(
         _count_engine_convergence, args=(8192, seed), rounds=1, iterations=1
     )
     assert interactions > 10_000_000_000
 
 
-def _vector_engine_convergence(n: int, seed: int) -> int:
-    """Run the vector kernel to silence from the CIW worst case.
-
-    Same seed derivation as :func:`_count_engine_convergence`, and jump
-    mode is scalar in both engines, so the two benchmarks account for
-    the *identical* trajectory -- the rate ratio is a pure engine
-    comparison with zero workload variance.
-    """
-    protocol = SilentNStateSSR(n)
-    states = protocol.counts_to_configuration(worst_case_ciw_counts(n))
-    engine_cls = select_count_engine("vector")
-    sim = engine_cls(protocol, states, rng=make_rng(seed, "count-eng", n), mode="jump")
-    sim.run_until_silent()
-    return sim.interactions
-
-
 @pytest.mark.benchmark(group="engine-throughput")
-@pytest.mark.skipif(not numpy_available(), reason="vector kernel needs numpy")
-def test_vector_engine_ciw_8192(benchmark, seed):
-    """The class-pruned kernel removes the O(k^2) classification cost."""
+def test_count_engine_ciw_8192_full_scan(benchmark, seed):
+    """The same trajectory with the O(n^2) unpruned classification."""
     interactions = benchmark.pedantic(
-        _vector_engine_convergence, args=(8192, seed), rounds=1, iterations=1
+        _count_engine_convergence, args=(8192, seed, True), rounds=1, iterations=1
     )
     assert interactions > 10_000_000_000
 
@@ -188,14 +172,20 @@ def _smoke_generic(n: int, steps: int, seed: int) -> dict:
     }
 
 
-def _smoke_count(n: int, seed: int, recorder=None) -> dict:
+def _smoke_count(n: int, seed: int, recorder=None, full_scan: bool = False) -> dict:
     """Time the count engine to silence from the CIW worst case.
 
-    The timed region includes construction (pair classification is the
-    one-time O(k^2) cost that dominates at large n), so the reported
-    rate is a conservative end-to-end figure.
+    The timed region includes construction (jump-mode pair
+    classification), so the reported rate is a conservative end-to-end
+    figure.  ``full_scan`` hides ``silent_class``: classification then
+    probes all O(n^2) slot pairs instead of O(n), over the identical
+    trajectory (same seed labels, same interaction total), so the rate
+    ratio of the two variants is the pruning speedup with no workload
+    noise.
     """
     protocol = SilentNStateSSR(n)
+    if full_scan:
+        protocol.silent_class = None
     states = protocol.counts_to_configuration(worst_case_ciw_counts(n))
     rng = make_rng(seed, "smoke-count", n)
     start = time.perf_counter()
@@ -203,39 +193,10 @@ def _smoke_count(n: int, seed: int, recorder=None) -> dict:
     sim.run_until_silent()
     elapsed = time.perf_counter() - start
     return {
-        "engine": "count",
+        "engine": "count-full-scan" if full_scan else "count",
         "protocol": "SilentNStateSSR",
         "n": n,
         "recording": recorder is not None,
-        "interactions": sim.interactions,
-        "events": sim.events,
-        "seconds": round(elapsed, 6),
-        "interactions_per_second": sim.interactions / elapsed,
-    }
-
-
-def _smoke_vector(n: int, seed: int) -> dict:
-    """Time the vector kernel to silence from the CIW worst case.
-
-    Same seed labels as :func:`_smoke_count`, and jump mode is scalar
-    in both engines, so both cells account for the identical trajectory
-    (same interaction total); the rate ratio is the engine speedup with
-    no workload noise.  Without numpy the kernel falls back to the
-    count engine -- the cell document records which one actually ran.
-    """
-    protocol = SilentNStateSSR(n)
-    states = protocol.counts_to_configuration(worst_case_ciw_counts(n))
-    rng = make_rng(seed, "smoke-count", n)
-    engine_cls = select_count_engine("vector")
-    start = time.perf_counter()
-    sim = engine_cls(protocol, states, rng=rng, mode="jump")
-    sim.run_until_silent()
-    elapsed = time.perf_counter() - start
-    return {
-        "engine": "vector",
-        "numpy": numpy_available(),
-        "protocol": "SilentNStateSSR",
-        "n": n,
         "interactions": sim.interactions,
         "events": sim.events,
         "seconds": round(elapsed, 6),
@@ -319,29 +280,13 @@ def bench_suite():
         metric="interactions_per_second",
         higher_is_better=True,
     )
-    if numpy_available():
-        # Vector-kernel cells are registered only when numpy is present:
-        # the fallback would silently re-run the count engine (fine at
-        # n=8192, catastrophic at n=10^6 where the O(k^2) classification
-        # is the very cost the kernel removes).
-        suite.cell(
-            "vector-ciw-n8192",
-            lambda seed, repeat: _smoke_vector(8192, seed)[
-                "interactions_per_second"
-            ],
-            repeats=2,
-            metric="interactions_per_second",
-            higher_is_better=True,
-        )
-        suite.cell(
-            "vector-ciw-n1e6",
-            lambda seed, repeat: _smoke_vector(10**6, seed)[
-                "interactions_per_second"
-            ],
-            repeats=1,
-            metric="interactions_per_second",
-            higher_is_better=True,
-        )
+    suite.cell(
+        "count-ciw-n1e6",
+        lambda seed, repeat: _smoke_count(10**6, seed)["interactions_per_second"],
+        repeats=1,
+        metric="interactions_per_second",
+        higher_is_better=True,
+    )
     return suite
 
 
@@ -361,22 +306,22 @@ def main(argv=None) -> int:
         "--repeats",
         type=int,
         default=3,
-        help="timed passes per cell (default: %(default)s; the slow n=8192 "
-        "cell always runs once)",
+        help="timed passes per cell (default: %(default)s; the n=8192 "
+        "cells run at least twice, the n=10^6 cell once)",
     )
     args = parser.parse_args(argv)
 
     from repro.obs.provenance import run_stamp
 
-    # The count n=8192 cell runs twice so the vector-vs-count speedup
+    # The full-scan n=8192 cell runs twice so the pruned-vs-full speedup
     # below has per-repeat samples on both sides for the bootstrap CI.
     cells = [
         _repeat_cell(lambda: _smoke_generic(1024, 200_000, args.seed), args.repeats),
         _repeat_cell(lambda: _smoke_count(1024, args.seed), args.repeats),
-        _repeat_cell(lambda: _smoke_count(8192, args.seed), 2),
+        _repeat_cell(lambda: _smoke_count(8192, args.seed, full_scan=True), 2),
         _repeat_cell(lambda: _smoke_count_recording(1024, args.seed), args.repeats),
-        _repeat_cell(lambda: _smoke_vector(8192, args.seed), max(2, args.repeats)),
-        _repeat_cell(lambda: _smoke_vector(10**6, args.seed), 1),
+        _repeat_cell(lambda: _smoke_count(8192, args.seed), max(2, args.repeats)),
+        _repeat_cell(lambda: _smoke_count(10**6, args.seed), 1),
     ]
     generic_rate = cells[0]["interactions_per_second"]
     count_rate = cells[1]["interactions_per_second"]
@@ -388,25 +333,25 @@ def main(argv=None) -> int:
     # gated numbers live in `repro bench --suite engine`.
     recording_overhead_pct = 100.0 * (1.0 - recording_rate / count_rate)
 
-    # Vector-vs-count at n=8192: both cells replay the identical
-    # trajectory (same seed, scalar jump mode), so the rate ratio is a
-    # pure engine comparison; the acceptance bar is the whole bootstrap
-    # CI of the ratio clearing MIN_VECTOR_SPEEDUP, not just the means.
+    # Pruned-vs-full at n=8192: both cells replay the identical
+    # trajectory (same seed, same pair order), so the rate ratio is the
+    # classification speedup alone; the acceptance bar is the whole
+    # bootstrap CI of the ratio clearing MIN_PRUNING_SPEEDUP, not just
+    # the means.
     from repro.obs.bench import bootstrap_ratio_ci
 
-    vector_speedup = (
+    pruning_speedup = (
         cells[4]["interactions_per_second"] / cells[2]["interactions_per_second"]
     )
-    vector_ci = bootstrap_ratio_ci(
+    pruning_ci = bootstrap_ratio_ci(
         cells[2]["interactions_per_second_values"],
         cells[4]["interactions_per_second_values"],
     )
-    vector_gated = numpy_available()
-    vector_passed = (not vector_gated) or vector_ci[0] >= MIN_VECTOR_SPEEDUP
+    pruning_passed = pruning_ci[0] >= MIN_PRUNING_SPEEDUP
 
     summary = {
         "benchmark": "engine-throughput-smoke",
-        "schema_version": 2,
+        "schema_version": 3,
         **run_stamp(),
         "seed": args.seed,
         "cells": cells,
@@ -414,11 +359,10 @@ def main(argv=None) -> int:
         "min_required_speedup": MIN_COUNT_SPEEDUP,
         "speedup_check_passed": speedup >= MIN_COUNT_SPEEDUP,
         "recording_overhead_pct_n1024": round(recording_overhead_pct, 2),
-        "numpy_available": numpy_available(),
-        "vector_vs_count_speedup_n8192": vector_speedup,
-        "vector_vs_count_speedup_ci95_n8192": list(vector_ci),
-        "min_required_vector_speedup": MIN_VECTOR_SPEEDUP,
-        "vector_speedup_check_passed": vector_passed,
+        "pruned_vs_full_scan_speedup_n8192": pruning_speedup,
+        "pruned_vs_full_scan_speedup_ci95_n8192": list(pruning_ci),
+        "min_required_pruning_speedup": MIN_PRUNING_SPEEDUP,
+        "pruning_speedup_check_passed": pruning_passed,
     }
     with open(args.json, "w") as handle:
         json.dump(summary, handle, indent=2, sort_keys=True)
@@ -426,7 +370,7 @@ def main(argv=None) -> int:
 
     for cell in cells:
         print(
-            f"{cell['engine']:>7} n={cell['n']:>7}: "
+            f"{cell['engine']:>15} n={cell['n']:>7}: "
             f"{cell['interactions_per_second']:.3e} interactions/s "
             f"(stdev {cell['interactions_per_second_stdev']:.2e}, "
             f"n={cell['repeats']})"
@@ -434,19 +378,17 @@ def main(argv=None) -> int:
     print(f"count/generic speedup at n=1024: {speedup:.1f}x (required >= {MIN_COUNT_SPEEDUP:.0f}x)")
     print(f"recording overhead at n=1024: {recording_overhead_pct:+.1f}%")
     print(
-        f"vector/count speedup at n=8192: {vector_speedup:.1f}x "
-        f"(CI95 [{vector_ci[0]:.1f}, {vector_ci[1]:.1f}], "
-        f"required CI-low >= {MIN_VECTOR_SPEEDUP:.0f}x"
-        + ("" if vector_gated else "; ungated: numpy unavailable, fallback ran")
-        + ")"
+        f"pruned/full-scan speedup at n=8192: {pruning_speedup:.1f}x "
+        f"(CI95 [{pruning_ci[0]:.1f}, {pruning_ci[1]:.1f}], "
+        f"required CI-low >= {MIN_PRUNING_SPEEDUP:.0f}x)"
     )
     if speedup < MIN_COUNT_SPEEDUP:
         print("FAIL: count engine below required speedup", file=sys.stderr)
         return 1
-    if not vector_passed:
+    if not pruning_passed:
         print(
-            "FAIL: vector kernel speedup CI does not clear "
-            f"{MIN_VECTOR_SPEEDUP:.0f}x at n=8192",
+            "FAIL: class-pruning speedup CI does not clear "
+            f"{MIN_PRUNING_SPEEDUP:.0f}x at n=8192",
             file=sys.stderr,
         )
         return 1

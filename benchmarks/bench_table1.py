@@ -14,22 +14,25 @@ from repro.analysis.statecount import (
     silent_n_state_count,
     sublinear_state_log2_estimate,
 )
-from repro.core.fastpath import CiwJumpSimulator, worst_case_ciw_counts
+from repro.core.countsim import CountSimulation
 from repro.core.rng import make_rng
 from repro.experiments.common import measure_convergence
 from repro.experiments.table1 import run as run_table1
+from repro.protocols.cai_izumi_wada import SilentNStateSSR, worst_case_ciw_counts
 from repro.protocols.optimal_silent import OptimalSilentSSR
 from repro.protocols.sublinear.protocol import SublinearTimeSSR
 
 
 @pytest.mark.benchmark(group="table1-rows")
 def test_ciw_row_n256(benchmark, seed):
-    """Row 1: Silent-n-state-SSR, worst case, n = 256 (exact-jump sim)."""
+    """Row 1: Silent-n-state-SSR, worst case, n = 256 (count engine, jump mode)."""
 
     def cell():
         rng = make_rng(seed, "bench-ciw")
-        sim = CiwJumpSimulator(worst_case_ciw_counts(256), rng)
-        sim.run_to_convergence()
+        protocol = SilentNStateSSR(256)
+        states = protocol.counts_to_configuration(worst_case_ciw_counts(256))
+        sim = CountSimulation(protocol, states, rng=rng, mode="jump")
+        sim.run_until_silent()
         return sim.parallel_time
 
     time = benchmark(cell)
@@ -117,8 +120,9 @@ def bench_suite():
 
     def ciw_row(seed, repeat):
         rng = make_rng(seed, "bench-ciw")
-        sim = CiwJumpSimulator(worst_case_ciw_counts(256), rng)
-        sim.run_to_convergence()
+        protocol = SilentNStateSSR(256)
+        states = protocol.counts_to_configuration(worst_case_ciw_counts(256))
+        CountSimulation(protocol, states, rng=rng, mode="jump").run_until_silent()
         return None  # harness-timed
 
     def optimal_silent_row(seed, repeat):

@@ -25,9 +25,10 @@ from repro.analysis.statecount import (
     silent_n_state_count,
     sublinear_state_log2_estimate,
 )
-from repro.core.fastpath import CiwJumpSimulator, worst_case_ciw_counts
+from repro.core.countsim import CountSimulation
 from repro.experiments.common import measure_convergence
 from repro.experiments.hsweep import collision_start
+from repro.protocols.cai_izumi_wada import worst_case_ciw_counts
 
 N = 16
 TRIALS = 5
@@ -36,11 +37,13 @@ SEED = 5
 
 def ciw_time() -> float:
     total = 0.0
+    protocol = SilentNStateSSR(N)
+    states = protocol.counts_to_configuration(worst_case_ciw_counts(N))
     for trial in range(TRIALS):
-        sim = CiwJumpSimulator(
-            worst_case_ciw_counts(N), make_rng(SEED, "ciw", trial)
+        sim = CountSimulation(
+            protocol, states, rng=make_rng(SEED, "ciw", trial), mode="jump"
         )
-        sim.run_to_convergence()
+        sim.run_until_silent()
         total += sim.parallel_time
     return total / TRIALS
 

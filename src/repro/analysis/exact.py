@@ -21,8 +21,8 @@ subsystem, :mod:`repro.statics.quant`, which builds the same chain from
 the protocol's declared schema -- so this module, ``repro verify``, and
 the Prism export all share one solver.  The result is ground-truth
 expected stabilization times (in interactions) that the test suite uses
-to validate both the sequential engine and the exact-jump fast path to
-within Monte-Carlo error -- and exact Table 1 row 1 constants at toy
+to validate both the sequential engine and the count engine's jump mode
+to within Monte-Carlo error -- and exact Table 1 row 1 constants at toy
 sizes.
 """
 
@@ -114,7 +114,7 @@ def worst_case_expected_interactions(n: int) -> float:
     applies (it always does for this witness: the duplicate chases the
     hole around the cycle without ever splitting).
     """
-    from repro.core.fastpath import worst_case_ciw_counts
+    from repro.protocols.cai_izumi_wada import worst_case_ciw_counts
 
     start = tuple(worst_case_ciw_counts(n))
     exact = expected_absorption_interactions(start)

@@ -6,8 +6,10 @@ Public surface:
 * :class:`repro.core.simulation.Simulation` -- sequential engine
 * :mod:`repro.core.scheduler` -- uniform / scripted / adversarial schedulers
 * :mod:`repro.core.monitors` -- convergence and activity observers
-* :mod:`repro.core.fastpath` -- exact-jump fast simulators
 * :mod:`repro.core.countsim` -- protocol-generic count-based engine
+  (interaction, jump and active modes)
+* :mod:`repro.core.fastpath_optimal_silent` -- Optimal-Silent-SSR
+  agent-array fast simulator
 * :mod:`repro.core.parallel` -- process-pool trial fan-out
 * :mod:`repro.core.adversary` -- adversarial initial configurations
 """
@@ -23,6 +25,7 @@ from repro.core.errors import (
     NotSilentError,
     ProtocolDefinitionError,
     ReproError,
+    SilenceCertificationError,
     SimulationLimitError,
 )
 from repro.core.countsim import CountSimulation, count_engine_eligible
@@ -63,6 +66,7 @@ __all__ = [
     "SimulationLimitError",
     "ProtocolDefinitionError",
     "NotSilentError",
+    "SilenceCertificationError",
     "DEFAULT_SEED",
     "derive_seed",
     "make_rng",

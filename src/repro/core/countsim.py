@@ -17,9 +17,7 @@ through the *multiset* of agent states.  This engine exploits that:
 * for silent protocols, runs of null interactions are *batched*: once
   the set of effective (non-null) ordered pairs is known, the number of
   consecutive null interactions is drawn from the exact geometric law
-  with success probability ``W_eff / (n (n - 1))`` and skipped in O(1),
-  generalizing the single-protocol trick of
-  :class:`repro.core.fastpath.CiwJumpSimulator`.
+  with success probability ``W_eff / (n (n - 1))`` and skipped in O(1).
 
 Every interaction the sequential engine would have scheduled is
 accounted for, so interaction counts (and hence parallel times) have
@@ -42,7 +40,13 @@ Modes
 ``jump``
     Geometric null-skipping over the effective-pair tree.  Requires a
     silent protocol (the analytic ``is_pair_null`` predicate classifies
-    pairs).  Fast only when effective pairs are rare.
+    pairs).  Fast only when effective pairs are rare.  Classifying the
+    ``k`` occupied slots costs O(k^2) ``is_pair_null`` probes in
+    general; protocols with a ``silent_class`` hook (see ``active``)
+    only probe same-class and ``None``-class partners, which for
+    Silent-n-state-SSR collapses classification to O(k).  The pruned
+    scan registers the surviving pairs in the same order as the full
+    scan, so trajectories are identical per seed either way.
 ``auto`` (default)
     Start in ``interaction`` mode; switch to ``jump`` once
     ``max(64, n)`` consecutive interactions changed nothing -- the
@@ -74,14 +78,15 @@ n=8192+ instead of n~256.
 
 from __future__ import annotations
 
+import bisect
 import random
 import time
-from typing import Any, Dict, Hashable, List, Optional, Sequence, Set, Tuple, TypeVar
+from typing import Any, Dict, Hashable, List, Optional, Sequence, Set, Tuple, Type, TypeVar
 
-from repro.core.errors import NotSilentError
-from repro.core.fastpath import _geometric
+from repro.core.errors import NotSilentError, SilenceCertificationError
 from repro.core.fenwick import GrowableFenwick
 from repro.core.protocol import PopulationProtocol, check_population
+from repro.core.rng import geometric
 from repro.obs.context import current_recorder
 from repro.statics.schema import StateSchema, has_schema, schema_for
 
@@ -89,8 +94,8 @@ S = TypeVar("S")
 
 __all__ = [
     "CountSimulation",
-    "GrowableFenwick",  # historical import site; canonical home is core.fenwick
     "count_engine_eligible",
+    "select_count_engine",
 ]
 
 
@@ -141,6 +146,17 @@ def count_engine_eligible(protocol: PopulationProtocol[Any]) -> bool:
         return False
     schema = schema_for(protocol)
     return all(spec.in_key for role in schema.roles for spec in role.fields)
+
+
+# Kept as the substitution point of the repo benchmark's traced run (perfbench).
+def select_count_engine(engine: str) -> Type["CountSimulation"]:
+    """Resolve a count-representation engine name to its class.
+
+    ``"count"`` (:class:`CountSimulation`) is the only one.
+    """
+    if engine != "count":
+        raise ValueError(f"engine must be 'count', got {engine!r}")
+    return CountSimulation
 
 
 #: Memo marker for pairs whose transition consults the RNG.
@@ -273,10 +289,15 @@ class CountSimulation:
         self._adj: List[List[int]] = []
         self._pair_tree = GrowableFenwick()
         self._classified: List[bool] = []
+        # Classified slots by silent_class, ascending; None-class apart.
+        self._classified_by_class: Dict[Hashable, List[int]] = {}
+        self._classified_wildcards: List[int] = []
+
+        # -- silent_class per slot (jump pruning and active mode) -------
+        self._slot_class: List[Optional[Hashable]] = []
 
         # -- active-mode structures (used only when mode == "active") ---
         self._active_mode = mode == "active"
-        self._slot_class: List[Optional[Hashable]] = []
         self._self_null: List[Optional[bool]] = []
         self._class_slots: Dict[Hashable, Set[int]] = {}
         self._active_tree = GrowableFenwick()
@@ -382,16 +403,15 @@ class CountSimulation:
         profile = self._profile
         while self.interactions < deadline:
             if self._mode == "jump":
-                # The geometric fast-forward is profiled as its own stage
-                # (it is *jumping*, not pair sampling), so count-engine
-                # profiles decompose the same way the vector kernel's do.
+                # The geometric fast-forward is profiled as its own stage:
+                # it is *jumping*, not pair sampling.
                 start = time.perf_counter() if profile else 0.0
                 tree = self._pair_tree
                 weight = tree.total()
                 if weight == 0:
                     return  # silent: all remaining interactions are null
                 p = weight / self._ordered_pairs
-                nxt = self.interactions + _geometric(rng, p) + 1
+                nxt = self.interactions + geometric(rng, p) + 1
                 if profile:
                     self._obs.add_stage_time(
                         "countsim.geometric_jump", time.perf_counter() - start
@@ -419,7 +439,7 @@ class CountSimulation:
                 effective = self._ordered_pairs - passive * (passive - 1)
                 if effective < self._ordered_pairs:
                     p = effective / self._ordered_pairs
-                    nxt = self.interactions + _geometric(rng, p) + 1
+                    nxt = self.interactions + geometric(rng, p) + 1
                 else:
                     nxt = self.interactions + 1
                 if profile:
@@ -461,13 +481,22 @@ class CountSimulation:
     def run_until_silent(self, *, max_interactions: Optional[int] = None) -> bool:
         """Run until provably silent; ``False`` if the budget ran out first.
 
-        Requires a silent protocol (``auto``/``jump`` mode).  With no
-        budget the call runs to convergence, which a silent protocol
-        reaches with probability 1.
+        Requires a silent protocol and a mode that can certify silence
+        (``auto``, ``jump`` or ``active``).  An engine built with
+        ``mode="interaction"`` never certifies silence (see
+        :attr:`silent`), so it raises
+        :class:`~repro.core.errors.SilenceCertificationError` up front
+        instead of spinning forever.  With no budget the call runs to
+        convergence, which a silent protocol reaches with probability 1.
         """
         if not self.protocol.silent:
             raise NotSilentError(
                 f"{type(self.protocol).__name__} is not silent"
+            )
+        if self._requested_mode == "interaction":
+            raise SilenceCertificationError(
+                "interaction mode never certifies silence; use mode='auto', "
+                "'jump' or 'active', or run(...) with an explicit budget"
             )
         while True:
             if self.silent:
@@ -500,9 +529,9 @@ class CountSimulation:
                 if isinstance(r, int) and 1 <= r <= self.n:
                     rank = r
             self._slot_rank.append(rank)
-            if self._active_mode:
-                assert self._class_of is not None
+            if self._class_of is not None:
                 self._slot_class.append(self._class_of(state))
+            if self._active_mode:
                 self._self_null.append(None)
                 self._active_tree.append(0)
                 self._passive_tree.append(0)
@@ -656,8 +685,9 @@ class CountSimulation:
     def _enter_jump_mode(self) -> None:
         """Classify the *occupied* slot pairs and switch to jump mode.
 
-        O(k^2) ``is_pair_null`` queries over the ``k`` occupied slots;
-        empty slots (left behind by transient counters or by fault
+        O(k^2) ``is_pair_null`` queries over the ``k`` occupied slots
+        (fewer with ``silent_class``, see :meth:`_classify_slot`); empty
+        slots (left behind by transient counters or by fault
         injection) are skipped here and classified lazily if they ever
         refill -- without this, repeated corruption would make every
         re-entry pay for the full graveyard of stale slots.
@@ -682,19 +712,39 @@ class CountSimulation:
         self._adj = [[] for _ in self._reps]
         self._pair_tree = GrowableFenwick()
         self._classified = [False] * len(self._reps)
+        self._classified_by_class = {}
+        self._classified_wildcards = []
         self._switching = (
             self._requested_mode in ("auto", "jump") and self.protocol.silent
         )
 
     def _classify_slot(self, m: int) -> None:
+        """Register the effective pairs between slot ``m`` and classified slots.
+
+        Partners are probed in ascending slot order.  With
+        ``silent_class``, a slot of class ``c`` is probed only against
+        class-``c`` and ``None``-class slots: distinct non-``None``
+        classes are null in both orders (the contract ``repro lint``
+        checks), so the skipped probes would register nothing and the
+        surviving pairs land in the pair list in the same order as the
+        full scan's.  That keeps jump-mode sampling bit-identical.
+        """
         classified = self._classified
         classified[m] = True
+        cls = self._slot_class[m] if self._class_of is not None else None
+        if cls is None:
+            partners = [j for j, done in enumerate(classified) if done]
+            if self._class_of is not None:
+                bisect.insort(self._classified_wildcards, m)
+        else:
+            members = self._classified_by_class.setdefault(cls, [])
+            bisect.insort(members, m)
+            wildcards = self._classified_wildcards
+            partners = sorted(members + wildcards) if wildcards else members
         is_pair_null = self.protocol.is_pair_null
         reps = self._reps
         a = reps[m]
-        for j, done in enumerate(classified):
-            if not done:
-                continue
+        for j in partners:
             if j == m:
                 if not is_pair_null(a, a):
                     self._register_pair(m, m)

@@ -51,3 +51,13 @@ class NotSilentError(ReproError):
     that are not silent (e.g. Sublinear-Time-SSR with H >= 1) raise this
     instead of pretending to answer.
     """
+
+
+class SilenceCertificationError(ReproError):
+    """An engine was asked to run until silent in a mode that cannot tell.
+
+    :class:`~repro.core.countsim.CountSimulation` built with
+    ``mode="interaction"`` keeps no effective-pair bookkeeping, so its
+    ``silent`` property is always ``False`` and ``run_until_silent``
+    could never return; it raises this up front instead.
+    """

@@ -39,7 +39,6 @@ from repro.core.chaos import (
 )
 from repro.core.configuration import is_silent
 from repro.core.countsim import CountSimulation, count_engine_eligible
-from repro.core.kernel import select_count_engine
 from repro.core.scheduler import Scheduler
 from repro.core.simulation import Simulation
 from repro.obs.context import current_recorder
@@ -49,7 +48,7 @@ from repro.protocols.base import RankingProtocol
 S = TypeVar("S")
 
 #: Engines ``measure_recovery`` can drive.
-ENGINES = ("auto", "generic", "count", "vector")
+ENGINES = ("auto", "generic", "count")
 
 
 @dataclass(frozen=True)
@@ -219,15 +218,13 @@ class _CountRecoveryEngine:
         rng: random.Random,
         certify_silence: bool,
         recorder: Optional[Any] = None,
-        engine: str = "count",
     ):
         mode = (
             "active"
             if protocol.silent and getattr(protocol, "silent_class", None)
             else "auto"
         )
-        engine_cls = select_count_engine(engine)
-        self.sim: CountSimulation = engine_cls(
+        self.sim = CountSimulation(
             protocol,
             list(initial_states) if initial_states is not None else None,
             rng=rng,
@@ -285,13 +282,11 @@ def measure_recovery(
     Parameters beyond the originals
     -------------------------------
     engine:
-        ``"generic"``, ``"count"``, ``"vector"``, or ``"auto"``
-        (default): pick the count engine when the protocol is silent,
-        schema-eligible and no custom ``scheduler`` is involved.  The
-        count engine also fast-forwards silent dwell between strikes,
-        so long quiet periods cost O(1).  ``"vector"`` drives the
-        batched numpy kernel (same fault surface, inherited from the
-        count engine), falling back to ``"count"`` without numpy.
+        ``"generic"``, ``"count"``, or ``"auto"`` (default): pick the
+        count engine when the protocol is silent, schema-eligible and
+        no custom ``scheduler`` is involved.  The count engine also
+        fast-forwards silent dwell between strikes, so long quiet
+        periods cost O(1).
     adversary:
         ``None`` (the uniform random-state adversary), a registered
         name (see :func:`repro.core.chaos.adversary_names`), or an
@@ -330,16 +325,16 @@ def measure_recovery(
     elif isinstance(adversary, str):
         adversary = make_adversary(adversary)
 
-    if engine in ("count", "vector") and scheduler is not None:
+    if engine == "count" and scheduler is not None:
         raise ValueError(
             "scheduler faults act on agent indices; use engine='generic'"
         )
-    if engine in ("count", "vector") and not count_engine_eligible(protocol):
+    if engine == "count" and not count_engine_eligible(protocol):
         raise ValueError(
             f"{type(protocol).__name__} is not count-engine eligible "
             "(needs a registered lossless state schema)"
         )
-    use_count = engine in ("count", "vector") or (
+    use_count = engine == "count" or (
         engine == "auto"
         and scheduler is None
         and protocol.silent
@@ -358,7 +353,6 @@ def measure_recovery(
             rng,
             certify_silence,
             recorder=obs,
-            engine="vector" if engine == "vector" else "count",
         )
     else:
         eng = _GenericRecoveryEngine(

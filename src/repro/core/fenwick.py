@@ -1,15 +1,13 @@
-"""Shared Fenwick (binary indexed) trees with weighted sampling.
+"""Fenwick (binary indexed) tree with weighted sampling.
 
-Both simulation fast paths need the same primitive: a non-negative
-integer weight per index, point updates in O(log n), and "sample an
-index with probability proportional to its weight" via one
-``rng.randrange(total)`` draw followed by a bit descent.  The two
-implementations grew up separately (:mod:`repro.core.fastpath` held the
-fixed-size tree, :mod:`repro.core.countsim` the growable one); this
-module is their single home.  Both classes keep the exact sampling
-contract -- equal weights mean identical RNG consumption and identical
-selected indices, which is what the cross-engine bit-exactness tests
-rely on -- and both old import sites re-export them unchanged.
+Count-based simulation needs one primitive: a non-negative integer
+weight per index, point updates in O(log n), and "sample an index with
+probability proportional to its weight" via one ``rng.randrange(total)``
+draw followed by a bit descent.  :class:`GrowableFenwick` backs the
+count engine (:mod:`repro.core.countsim`).  Its sampling contract is
+exact -- equal weights mean identical RNG consumption and identical
+selected indices, whatever the tree's capacity -- which is what the
+per-seed agreement tests against the test-side CIW reference rely on.
 """
 
 from __future__ import annotations
@@ -17,83 +15,16 @@ from __future__ import annotations
 import random
 from typing import List
 
-__all__ = ["FenwickTree", "GrowableFenwick"]
-
-
-class FenwickTree:
-    """Fenwick tree over non-negative integer weights with sampling.
-
-    Supports point update, total weight, and "find the smallest index
-    whose prefix sum exceeds a target" -- the primitive needed to sample
-    an index proportionally to its weight in O(log n).
-    """
-
-    def __init__(self, size: int):
-        if size < 1:
-            raise ValueError(f"size must be >= 1, got {size}")
-        self.size = size
-        self._tree = [0] * (size + 1)
-        self._weights = [0] * size
-
-    def weight(self, index: int) -> int:
-        """Current weight at ``index``."""
-        return self._weights[index]
-
-    def set(self, index: int, weight: int) -> None:
-        """Set the weight at ``index``."""
-        if weight < 0:
-            raise ValueError(f"weights must be non-negative, got {weight}")
-        delta = weight - self._weights[index]
-        if delta == 0:
-            return
-        self._weights[index] = weight
-        tree = self._tree
-        i = index + 1
-        while i <= self.size:
-            tree[i] += delta
-            i += i & (-i)
-
-    def total(self) -> int:
-        """Sum of all weights."""
-        return self._prefix(self.size)
-
-    def _prefix(self, count: int) -> int:
-        total = 0
-        tree = self._tree
-        i = count
-        while i > 0:
-            total += tree[i]
-            i -= i & (-i)
-        return total
-
-    def sample(self, rng: random.Random) -> int:
-        """Sample an index with probability proportional to its weight."""
-        total = self.total()
-        if total <= 0:
-            raise ValueError("cannot sample from an all-zero tree")
-        target = rng.randrange(total)  # uniform in [0, total)
-        # Find smallest index with prefix_sum(index + 1) > target.
-        position = 0
-        remaining = target
-        bit = 1 << (self.size.bit_length())
-        tree = self._tree
-        while bit > 0:
-            nxt = position + bit
-            if nxt <= self.size and tree[nxt] <= remaining:
-                position = nxt
-                remaining -= tree[nxt]
-            bit >>= 1
-        return position  # 0-based index
+__all__ = ["GrowableFenwick"]
 
 
 class GrowableFenwick:
     """Fenwick tree over an append-only sequence of integer weights.
 
-    Same sampling contract as :class:`FenwickTree` (``rng.randrange``
-    followed by a bit descent, so two trees holding equal weights
-    consume identical randomness and select the same index), plus
-    ``append`` with amortized O(1) capacity doubling and an O(1)
-    running total.
+    Sampling is one ``rng.randrange`` followed by a bit descent, so two
+    trees holding equal weights consume identical randomness and select
+    the same index.  ``append`` doubles capacity in amortized O(1) and
+    the running total is O(1).
     """
 
     __slots__ = ("_capacity", "_tree", "_weights", "_total")

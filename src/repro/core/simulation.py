@@ -5,8 +5,8 @@ one interaction at a time, notifying monitors around each step.  Parallel
 time follows the paper's convention: number of interactions divided by
 the population size ``n``.
 
-For protocols whose states are small integers there is a much faster
-specialized engine in :mod:`repro.core.fastpath`; this generic engine is
+For protocols with a lossless state schema there is a much faster
+count-based engine in :mod:`repro.core.countsim`; this generic engine is
 the reference implementation the fast paths are validated against.
 """
 

@@ -143,14 +143,6 @@ def build_parser() -> argparse.ArgumentParser:
         "(experiments that support it; results are bit-identical)",
     )
     run_parser.add_argument(
-        "--engine",
-        choices=("auto", "generic", "count", "vector"),
-        default=None,
-        help="simulation engine for experiments that support selection "
-        "(e.g. table1, frontier); 'vector' is the batched numpy kernel "
-        "and falls back to 'count' without numpy",
-    )
-    run_parser.add_argument(
         "-o",
         "--output",
         default=None,
@@ -341,10 +333,9 @@ def build_parser() -> argparse.ArgumentParser:
     )
     chaos_parser.add_argument(
         "--engine",
-        choices=("auto", "generic", "count", "vector"),
+        choices=("auto", "generic", "count"),
         default="auto",
-        help="simulation engine (default: auto; 'vector' is the batched "
-        "numpy kernel, falling back to 'count' without numpy)",
+        help="simulation engine (default: auto)",
     )
     chaos_parser.add_argument(
         "--recovery-budget",
@@ -719,16 +710,13 @@ def _run_one(
     workers: Optional[int] = None,
     ledger_path: Optional[str] = None,
     recorder: Optional[Any] = None,
-    engine: Optional[str] = None,
 ) -> bool:
     # perf_counter, not time.time: elapsed is a duration, and time.time
     # can step backwards under clock adjustment (wall-clock timestamps
     # live in results.build_manifest and the ledger's provenance stamp).
     started = time.perf_counter()
     cpu_started = time.process_time()
-    report = run_experiment(
-        experiment_id, seed=seed, quick=quick, workers=workers, engine=engine
-    )
+    report = run_experiment(experiment_id, seed=seed, quick=quick, workers=workers)
     elapsed = time.perf_counter() - started
     if ledger_path:
         from repro.obs.ledger import record_invocation
@@ -741,7 +729,6 @@ def _run_one(
             seed=seed,
             quick=quick,
             workers=workers,
-            engine=engine,
             all_passed=report.all_passed,
             wall_seconds=round(elapsed, 6),
             cpu_seconds=round(time.process_time() - cpu_started, 6),
@@ -892,33 +879,20 @@ def main(argv: Optional[List[str]] = None) -> int:
         return 0 if result.all_recovered else 1
 
     targets = all_experiments() if args.experiment == "all" else [args.experiment]
-    if args.engine is not None and args.experiment == "all":
-        # Most experiments pick their engine themselves; a blanket
-        # override across the registry would be a silent no-op for them.
-        print("run: --engine applies to a single experiment, not 'all'",
-              file=sys.stderr)
-        return 2
     ok = True
     with ExitStack() as stack:
         recorder = _install_recorder(args, stack)
         for experiment_id in targets:
-            try:
-                one = _run_one(
-                    experiment_id,
-                    args.seed,
-                    args.quick,
-                    args.output,
-                    args.csv,
-                    args.workers,
-                    _ledger_path(args),
-                    recorder,
-                    args.engine,
-                )
-            except ValueError as exc:
-                if args.engine is None:
-                    raise  # not an engine-selection problem; surface it
-                print(f"run: {exc}", file=sys.stderr)
-                return 2
+            one = _run_one(
+                experiment_id,
+                args.seed,
+                args.quick,
+                args.output,
+                args.csv,
+                args.workers,
+                _ledger_path(args),
+                recorder,
+            )
             ok = one and ok
         _finish_recorder(args, recorder)
     return 0 if ok else 1

@@ -24,8 +24,7 @@ from typing import Callable, Dict, List, Optional, Sequence, TypeVar
 
 from repro.analysis.stats import TrialSummary, summarize_trials
 from repro.core.configuration import is_silent
-from repro.core.countsim import count_engine_eligible
-from repro.core.kernel import select_count_engine
+from repro.core.countsim import count_engine_eligible, select_count_engine
 from repro.core.monitors import Monitor
 from repro.core.parallel import ParallelTrialRunner
 from repro.core.simulation import Simulation
@@ -36,7 +35,7 @@ from repro.protocols.base import RankingProtocol
 S = TypeVar("S")
 
 #: Engine choices accepted by :func:`measure_convergence`.
-ENGINES = ("auto", "generic", "count", "vector")
+ENGINES = ("auto", "generic", "count")
 
 
 @dataclass(frozen=True)
@@ -85,19 +84,17 @@ def measure_convergence(
         is silent, silence probing is enabled, and the protocol's schema
         admits lossless state keys (:func:`count_engine_eligible`);
         otherwise the generic agent-array engine runs.  ``"generic"``
-        and ``"count"`` force one side; ``"vector"`` forces the batched
-        numpy kernel (:class:`repro.core.kernel.VectorSimulation`),
-        falling back to the count engine when numpy is unavailable.
-        All engines produce the same outcome *distribution* (enforced
-        by the equivalence tests), but per-seed trajectories differ, so
-        comparisons across engines must be distributional.
+        and ``"count"`` force one side.  Both engines produce the same
+        outcome *distribution* (enforced by the equivalence tests), but
+        per-seed trajectories differ, so comparisons across engines must
+        be distributional.
     """
     if engine not in ENGINES:
         raise ValueError(f"engine must be one of {ENGINES}, got {engine!r}")
     n = protocol.n
     if probe_silence is None:
         probe_silence = protocol.silent
-    use_count = engine in ("count", "vector") or (
+    use_count = engine == "count" or (
         engine == "auto"
         and probe_silence
         and protocol.silent
@@ -105,7 +102,7 @@ def measure_convergence(
     )
     if use_count:
         return _measure_convergence_counted(
-            protocol, states, rng=rng, max_time=max_time, engine=engine
+            protocol, states, rng=rng, max_time=max_time
         )
     monitor = protocol.convergence_monitor()
     monitors: List[Monitor] = [monitor]
@@ -159,19 +156,15 @@ def _measure_convergence_counted(
     *,
     rng: random.Random,
     max_time: float,
-    engine: str = "count",
 ) -> ConvergenceOutcome:
     """Count-engine measurement path: exact silence-certified outcomes.
 
     A silent protocol stabilizes exactly when it is correct and silent,
     so the measurement is simply "run until provably silent"; the
-    confirmation-window machinery never applies here.  ``engine``
-    selects the count representation: the pure-python count engine
-    (``"count"``, also what ``"auto"`` resolves to) or the vectorized
-    kernel (``"vector"``).
+    confirmation-window machinery never applies here.
     """
     n = protocol.n
-    engine_cls = select_count_engine("vector" if engine == "vector" else "count")
+    engine_cls = select_count_engine("count")
     sim = engine_cls(protocol, list(states), rng=rng)
     max_interactions = int(max_time * n)
     # Match the generic path's time-zero probe: an initially silent and

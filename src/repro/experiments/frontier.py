@@ -1,12 +1,12 @@
 """Scaling frontier: the Table 1 CIW row at mega-scale populations.
 
 Table 1 measures Silent-n-state-SSR from the paper's worst-case witness
-up to n = 512; the count engine's exact-jump mode made n ~ 10^4
-reachable, and the vectorized kernel's class-pruned classification
-(:class:`repro.core.kernel.VectorSimulation`) removes the remaining
-O(k^2) entry cost, extending the *same measurement* -- identical
-per-seed trajectories, see :func:`repro.experiments.table1._ciw_trial`
--- to n = 10^7 on one core.  Each trial accounts for ~n^3/2 scheduler
+up to n = 512; the count engine's exact-jump mode with class-pruned
+slot classification (:class:`repro.core.countsim.CountSimulation`,
+O(n) to enter jump mode on this protocol instead of O(n^2)) extends
+the *same measurement* -- the same engine and mode as
+:func:`repro.experiments.table1._ciw_trial` -- to n = 10^7 on one
+core.  Each trial accounts for ~n^3/2 scheduler
 interactions (5 * 10^20 at n = 10^7), which is the sense in which this
 row walks toward the n = 10^9 frontier: the per-interaction cost is
 already sub-femtosecond-equivalent, and what remains at 10^9 is the
@@ -28,24 +28,22 @@ from functools import partial
 from typing import Dict, List, Optional, Sequence
 
 from repro.analysis.scaling import fit_power_law
-from repro.core.fastpath import worst_case_ciw_counts
-from repro.core.kernel import numpy_available, select_count_engine
+from repro.core.countsim import CountSimulation
 from repro.core.parallel import ParallelTrialRunner
 from repro.core.rng import DEFAULT_SEED
 from repro.experiments.common import ExperimentReport
-from repro.protocols.cai_izumi_wada import SilentNStateSSR
+from repro.protocols.cai_izumi_wada import SilentNStateSSR, worst_case_ciw_counts
 
 EXPERIMENT_ID = "frontier"
 TITLE = "Scaling frontier -- Silent-n-state-SSR worst case at mega-scale n"
 
 
-def _frontier_trial(n: int, engine: str, rng: random.Random) -> Dict[str, float]:
+def _frontier_trial(n: int, rng: random.Random) -> Dict[str, float]:
     """One timed worst-case CIW run; returns measurement + wall time."""
     protocol = SilentNStateSSR(n)
     states = protocol.counts_to_configuration(worst_case_ciw_counts(n))
-    engine_cls = select_count_engine(engine)
     started = time.perf_counter()
-    sim = engine_cls(protocol, states, rng=rng, mode="jump")
+    sim = CountSimulation(protocol, states, rng=rng, mode="jump")
     sim.run_until_silent()
     wall = time.perf_counter() - started
     return {
@@ -60,22 +58,14 @@ def run(
     seed: int = DEFAULT_SEED,
     quick: bool = False,
     workers: Optional[int] = None,
-    engine: str = "vector",
     sizes: Optional[Sequence[int]] = None,
     trials: int = 2,
 ) -> ExperimentReport:
     """Extend the Table 1 CIW row to mega-scale n.
 
     ``quick`` uses n up to 10^4 (seconds; what CI exercises); the full
-    run reaches n = 10^7.  ``engine`` defaults to ``"vector"`` -- the
-    experiment exists because of it -- but accepts ``"count"`` for
-    cross-checking at the quick sizes (at the full sizes the count
-    engine's O(k^2) classification is days of work, which is the point).
+    run reaches n = 10^7.
     """
-    if engine not in ("count", "vector"):
-        raise ValueError(
-            f"engine must be 'count' or 'vector' for frontier, got {engine!r}"
-        )
     ns: List[int] = list(sizes) if sizes else ([4096, 10**4] if quick else [10**6, 10**7])
     runner = ParallelTrialRunner(workers)
     report = ExperimentReport(
@@ -89,14 +79,13 @@ def run(
             "interactions",
             "wall_seconds",
             "interactions_per_sec",
-            "engine",
             "trials",
         ],
     )
     means: Dict[int, float] = {}
     for n in ns:
         results = runner.map_trials(
-            partial(_frontier_trial, n, engine),
+            partial(_frontier_trial, n),
             seed=seed,
             labels=("frontier", n),
             trials=trials,
@@ -115,7 +104,6 @@ def run(
             interactions=mean_inter,
             wall_seconds=round(mean_wall, 3),
             interactions_per_sec=f"{mean_inter / mean_wall:.3e}",
-            engine=engine,
             trials=len(results),
         )
 
@@ -136,14 +124,8 @@ def run(
         measured=round(fit.exponent, 3),
         expected="Theta(n^2): exponent ~ 2 persists at mega-scale",
     )
-    if engine == "vector" and not numpy_available():
-        report.notes.append(
-            "numpy unavailable: engine='vector' fell back to the pure-python "
-            "count engine (same trajectories, much slower)."
-        )
     report.notes.append(
-        "Same measurement as the Table 1 CIW row (identical per-seed "
-        "trajectories across engines on this row); only the engine and "
-        "the sizes changed."
+        "Same measurement as the Table 1 CIW row (same engine and mode); "
+        "only the sizes changed."
     )
     return report

@@ -49,18 +49,14 @@ def run_experiment(
     seed: int,
     quick: bool = False,
     workers: Optional[int] = None,
-    engine: Optional[str] = None,
     checkpoint: Optional[str] = None,
 ):
-    """Run one experiment, forwarding ``workers``/``engine`` where supported.
+    """Run one experiment, forwarding ``workers`` where supported.
 
     Experiment runners opt into trial-level parallelism by accepting a
-    ``workers`` keyword (e.g. Table 1), and into engine selection by
-    accepting an ``engine`` keyword (e.g. Table 1, frontier); runners
-    without them are called with ``(seed, quick)`` only, so the global
-    ``--workers`` / ``--engine`` flags stay safe across the registry.
-    An explicit ``engine`` for an experiment that cannot honor it is an
-    error rather than a silent default.  ``checkpoint`` (a durable
+    ``workers`` keyword (e.g. Table 1); runners without it are called
+    with ``(seed, quick)`` only, so the global ``--workers`` flag stays
+    safe across the registry.  ``checkpoint`` (a durable
     trial-journal path, used by service jobs for crash recovery) is
     forwarded to runners that accept it and silently dropped otherwise
     -- an unsupported checkpoint degrades to recomputation, never to an
@@ -74,11 +70,4 @@ def run_experiment(
             kwargs["workers"] = workers
     if checkpoint is not None and "checkpoint" in params:
         kwargs["checkpoint"] = checkpoint
-    if engine is not None:
-        if "engine" not in params:
-            raise ValueError(
-                f"experiment {experiment_id!r} does not support engine "
-                "selection; drop --engine"
-            )
-        kwargs["engine"] = engine
     return run(seed=seed, quick=quick, **kwargs)

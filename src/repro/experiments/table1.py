@@ -32,8 +32,7 @@ from repro.analysis.statecount import (
     sublinear_state_log2_estimate,
 )
 from repro.analysis.stats import TrialSummary, summarize_trials
-from repro.core.fastpath import worst_case_ciw_counts
-from repro.core.kernel import select_count_engine
+from repro.core.countsim import CountSimulation
 from repro.core.parallel import ParallelTrialRunner
 from repro.core.rng import DEFAULT_SEED
 from repro.experiments.common import (
@@ -41,32 +40,27 @@ from repro.experiments.common import (
     repeat_convergence,
     summarize_outcomes,
 )
-from repro.protocols.cai_izumi_wada import SilentNStateSSR
+from repro.protocols.cai_izumi_wada import SilentNStateSSR, worst_case_ciw_counts
 from repro.protocols.sublinear.protocol import SublinearTimeSSR
 
 EXPERIMENT_ID = "table1"
 TITLE = "Table 1 -- SSR protocol time/space complexities (measured)"
 
 
-def _ciw_trial(n: int, engine: str, rng: random.Random) -> float:
+def _ciw_trial(n: int, rng: random.Random) -> float:
     """One CIW stabilization measurement from the worst-case start.
 
-    Runs a count-based engine in jump mode.  From a worst-case start
-    the count engine's trajectory is interaction-for-interaction
-    identical to the historical
-    :class:`repro.core.fastpath.CiwJumpSimulator` for the same seed
-    (both draw one geometric and one Fenwick sample per effective
-    event, over identical weight tables) -- enforced by the equivalence
-    tests, so this engine swap changed no reported Table 1 value.  The
-    vector kernel (``engine="vector"``) keeps the identical trajectory
-    here too (jump mode is scalar; only pair *classification* is
-    pruned, preserving registration order), which is what lets the
-    frontier experiment extend this row to n >= 10^7.
+    Runs the count engine in jump mode: one geometric and one Fenwick
+    sample per effective event, over the rank-collision pairs only.
+    Class-pruned classification (``SilentNStateSSR.silent_class``)
+    makes entering jump mode O(n), which is what lets the frontier
+    experiment extend this row to n >= 10^7.  The jump chain's
+    interaction counts match the sequential engine's in distribution
+    and the exact Markov chain's mean (both enforced by the test suite).
     """
     protocol = SilentNStateSSR(n)
     states = protocol.counts_to_configuration(worst_case_ciw_counts(n))
-    engine_cls = select_count_engine(engine)
-    sim = engine_cls(protocol, states, rng=rng, mode="jump")
+    sim = CountSimulation(protocol, states, rng=rng, mode="jump")
     sim.run_until_silent()
     return sim.parallel_time
 
@@ -76,7 +70,6 @@ def _ciw_times(
     trials: int,
     seed: int,
     runner: ParallelTrialRunner,
-    engine: str = "count",
 ) -> Dict[int, TrialSummary]:
     """Silent-n-state-SSR stabilization times from the worst-case start.
 
@@ -87,7 +80,7 @@ def _ciw_times(
     results: Dict[int, TrialSummary] = {}
     for n in ns:
         times = runner.map_trials(
-            partial(_ciw_trial, n, engine),
+            partial(_ciw_trial, n),
             seed=seed,
             labels=("ciw", n),
             trials=trials,
@@ -182,7 +175,6 @@ def run(
     seed: int = DEFAULT_SEED,
     quick: bool = False,
     workers: Optional[int] = None,
-    engine: str = "count",
     checkpoint: Optional[str] = None,
 ) -> ExperimentReport:
     """Regenerate Table 1.  ``quick`` shrinks sizes/trials for CI use.
@@ -190,16 +182,8 @@ def run(
     ``workers`` > 1 fans the independent trials of each row out over a
     process pool; results are bit-identical to the serial run (per-trial
     RNG streams are derived inside the workers from the same label
-    paths).  ``engine`` selects the count representation for the CIW
-    row: ``"count"`` (default, the historical engine) or ``"vector"``
-    (the batched kernel -- same per-seed trajectories on this row, so
-    the reported values are unchanged; see
-    :mod:`repro.experiments.frontier` for the sizes that *need* it).
+    paths).
     """
-    if engine not in ("count", "vector"):
-        raise ValueError(
-            f"engine must be 'count' or 'vector' for table1, got {engine!r}"
-        )
     runner = ParallelTrialRunner(workers, checkpoint=checkpoint)
     if quick:
         ciw_ns, ciw_trials = [16, 32, 64], 5
@@ -226,7 +210,7 @@ def run(
         ],
     )
 
-    ciw = _ciw_times(ciw_ns, ciw_trials, seed, runner, engine=engine)
+    ciw = _ciw_times(ciw_ns, ciw_trials, seed, runner)
     osr = _optimal_silent_times(os_ns, os_trials, seed, runner)
     sub = _sublinear_times(sub_ns, sub_trials, seed, runner)
 

@@ -11,9 +11,10 @@ for initiator ``a`` and responder ``b``.  It uses exactly ``n`` states
 time -- the baseline the paper's two protocols improve on.
 
 The paper's Omega(n^2) lower-bound witness (two agents at rank 0, none
-at rank ``n - 1``) is available as
-:func:`repro.core.fastpath.worst_case_ciw_counts`; the matching
-exact-jump fast simulator lives in :mod:`repro.core.fastpath`.
+at rank ``n - 1``) is available as the rank-count vector
+:func:`worst_case_ciw_counts`.  Table 1 runs the protocol on the count
+engine in jump mode (:class:`repro.core.countsim.CountSimulation`),
+whose class-pruned classification uses :meth:`SilentNStateSSR.silent_class`.
 """
 
 from __future__ import annotations
@@ -96,6 +97,30 @@ class SilentNStateSSR(RankingProtocol[int]):
         for rank, count in enumerate(counts):
             states.extend([rank] * count)
         return states
+
+
+def worst_case_ciw_counts(n: int) -> List[int]:
+    """The paper's Omega(n^2) witness configuration, as rank counts.
+
+    Two agents at rank 0, no agent at rank ``n - 1``, one agent at every
+    other rank.  Stabilizing from here requires ``n - 1`` consecutive
+    "bottleneck" transitions, each needing the two same-rank agents to
+    meet directly.
+    """
+    if n < 2:
+        raise ValueError(f"need n >= 2, got {n}")
+    counts = [1] * n
+    counts[0] = 2
+    counts[n - 1] = 0
+    return counts
+
+
+def uniform_random_ciw_counts(n: int, rng: random.Random) -> List[int]:
+    """Rank counts of a configuration with each agent's rank i.i.d. uniform."""
+    counts = [0] * n
+    for _ in range(n):
+        counts[rng.randrange(n)] += 1
+    return counts
 
 
 # ---------------------------------------------------------------------------

@@ -129,7 +129,6 @@ _RUN_PARAMS: Dict[str, Tuple[Tuple[type, ...], Any]] = {
     "seed": ((int,), DEFAULT_SEED),
     "quick": ((bool,), True),
     "workers": ((int,), None),
-    "engine": ((str,), None),
     "priority": ((int,), 0),
 }
 
@@ -235,17 +234,9 @@ class JobSpec:
                     f"run job: unknown experiment {experiment!r}; "
                     f"known: {', '.join(all_experiments())}"
                 )
-            engine = params.get("engine")
-            if engine is not None:
-                from repro.experiments.common import ENGINES
-
-                if engine not in ENGINES:
-                    raise JobValidationError(
-                        f"run job: engine must be one of {list(ENGINES)}, "
-                        f"got {engine!r}"
-                    )
         elif kind == "chaos":
             from repro.core.chaos import adversary_names
+            from repro.core.faults import ENGINES
             from repro.experiments.chaos import CHAOS_PROTOCOLS
 
             for key in params["protocols"]:
@@ -258,6 +249,11 @@ class JobSpec:
                 raise JobValidationError(
                     f"chaos job: unknown adversary {params['adversary']!r}; "
                     f"known: {', '.join(adversary_names())}"
+                )
+            if params["engine"] not in ENGINES:
+                raise JobValidationError(
+                    f"chaos job: engine must be one of {list(ENGINES)}, "
+                    f"got {params['engine']!r}"
                 )
             if not params["ns"] or not all(
                 isinstance(n, int) and not isinstance(n, bool) and n >= 2
@@ -429,7 +425,6 @@ def _execute_run(spec: JobSpec, checkpoint: Optional[str]) -> Dict[str, Any]:
         seed=params["seed"],
         quick=params.get("quick", True),
         workers=params.get("workers"),
-        engine=params.get("engine"),
         checkpoint=checkpoint,
     )
     return {

@@ -75,10 +75,8 @@ class VerifyTarget:
     make_start: Callable[[Any], List[Any]]
     make_reference: Optional[Callable[[int], Any]] = None
     #: Engines to exercise; filtered by count-engine eligibility at run
-    #: time.  ``vector`` is the batched numpy kernel: per-seed it is not
-    #: the count engine's trajectory (independent scheduling draws), so
-    #: it earns its own Monte-Carlo band against the exact chain.
-    engines: Tuple[str, ...] = ("generic", "count", "vector")
+    #: time.
+    engines: Tuple[str, ...] = ("generic", "count")
 
 
 @dataclass
@@ -325,7 +323,7 @@ def verify_target(
     engines = [
         engine
         for engine in target.engines
-        if engine not in ("count", "vector") or count_engine_eligible(protocol)
+        if engine != "count" or count_engine_eligible(protocol)
     ]
     for engine in engines:
         mean = _measure_mean(

@@ -11,10 +11,20 @@ from repro.analysis.exact import (
     successors,
     worst_case_expected_interactions,
 )
-from repro.core.fastpath import CiwJumpSimulator, worst_case_ciw_counts
+from repro.core.countsim import CountSimulation
 from repro.core.rng import make_rng
 from repro.core.simulation import Simulation
-from repro.protocols.cai_izumi_wada import SilentNStateSSR
+from repro.protocols.cai_izumi_wada import SilentNStateSSR, worst_case_ciw_counts
+
+
+def jump_interactions(counts, rng) -> int:
+    """Interactions to silence on the count engine in jump mode (Table 1's)."""
+    protocol = SilentNStateSSR(len(counts))
+    sim = CountSimulation(
+        protocol, protocol.counts_to_configuration(counts), rng=rng, mode="jump"
+    )
+    assert sim.run_until_silent()
+    return sim.interactions
 
 
 class TestChainStructure:
@@ -78,10 +88,9 @@ class TestSimulatorsMatchGroundTruth:
     def test_jump_simulator_mean(self):
         total = 0
         for trial in range(self.TRIALS):
-            sim = CiwJumpSimulator(
+            total += jump_interactions(
                 worst_case_ciw_counts(self.N), make_rng(1, "xjump", trial)
             )
-            total += sim.run_to_convergence()
         mean = total / self.TRIALS
         assert mean == pytest.approx(self.exact(), rel=0.05)
 
@@ -106,11 +115,10 @@ class TestSimulatorsMatchGroundTruth:
         assert mean == pytest.approx(self.exact(), rel=0.08)
 
     def test_random_start_ground_truth(self):
-        """A branching (non-line) start: exact vs jump simulator."""
+        """A branching (non-line) start: exact vs the count engine's jump mode."""
         start = (4, 0, 1, 0, 0)  # four agents piled on rank 0
         exact = expected_absorption_interactions(start)
         total = 0
         for trial in range(self.TRIALS):
-            sim = CiwJumpSimulator(list(start), make_rng(3, "xrand", trial))
-            total += sim.run_to_convergence()
+            total += jump_interactions(list(start), make_rng(3, "xrand", trial))
         assert total / self.TRIALS == pytest.approx(exact, rel=0.05)

@@ -8,6 +8,7 @@ time-like metrics and lower for throughput-like metrics.
 
 import json
 import random
+from pathlib import Path
 
 import pytest
 
@@ -262,3 +263,33 @@ class TestLedgerFields:
         result["cells"][0]["repeats"] = 1
         fields = ledger_fields(result, None)
         assert "regressions" not in fields
+
+
+# Every repo bench script, run through the harness once per cell.
+_REPO_BENCH_DIR = Path(__file__).resolve().parents[2] / "benchmarks"
+_REPO_SUITES = discover_suites(str(_REPO_BENCH_DIR))
+#: Cells too heavy for the unit suite: the n=10^6 engine cell takes
+#: ~40 s and ~0.9 GB; its body (``_smoke_count(10**6, ...)``) runs in
+#: the ``bench-smoke`` CI job via ``benchmarks/bench_engine.py``.
+_HEAVY_CELLS = {("engine", "count-ciw-n1e6")}
+
+
+class TestRepoSuites:
+    def test_every_declaring_script_is_discovered(self):
+        declaring = [
+            path.name
+            for path in sorted(_REPO_BENCH_DIR.glob("bench_*.py"))
+            if "\ndef bench_suite(" in path.read_text()
+        ]
+        assert len(_REPO_SUITES) == len(declaring), declaring
+
+    @pytest.mark.slow
+    @pytest.mark.parametrize("name", sorted(_REPO_SUITES))
+    def test_cells_run_once(self, name):
+        """A cell that raises (e.g. a stale import) fails here."""
+        suite = _REPO_SUITES[name]
+        cells = [
+            cell.name for cell in suite.cells if (name, cell.name) not in _HEAVY_CELLS
+        ]
+        result = run_suite(suite, seed=1, repeats=1, cells=cells)
+        assert [cell["cell"] for cell in result["cells"]] == cells

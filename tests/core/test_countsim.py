@@ -2,9 +2,11 @@
 
 The load-bearing guarantees:
 
-* exact per-seed agreement with :class:`CiwJumpSimulator` (same RNG
-  consumption, same Fenwick layout) -- which is what justified swapping
-  Table 1's CIW row onto the generic count engine;
+* exact per-seed agreement with the test-side reference
+  :class:`~tests.ciw_reference.CiwJumpSimulator` (same RNG consumption,
+  same Fenwick layout) on Table 1's CIW row;
+* ``run_until_silent`` in interaction mode, which can never certify
+  silence, raises instead of spinning;
 * distributional agreement with the reference :class:`Simulation` on
   SilentNStateSSR and OptimalSilentSSR (seeded KS-style checks);
 * transition memoization is sound (spy-RNG detection) and actually
@@ -12,32 +14,30 @@ The load-bearing guarantees:
 """
 
 import random
+import signal
 import statistics
+from contextlib import contextmanager
 from copy import deepcopy
 
 import pytest
 
-from repro.core.countsim import (
-    CountSimulation,
-    GrowableFenwick,
-    count_engine_eligible,
-)
+from repro.core.countsim import CountSimulation, count_engine_eligible
 from repro.core.configuration import is_silent
-from repro.core.errors import NotSilentError
-from repro.core.fastpath import (
-    CiwJumpSimulator,
-    FenwickTree,
-    uniform_random_ciw_counts,
-    worst_case_ciw_counts,
-)
+from repro.core.errors import NotSilentError, SilenceCertificationError
+from repro.core.fenwick import GrowableFenwick
 from repro.core.rng import make_rng
 from repro.core.simulation import Simulation
 from repro.protocols.base import RankingProtocol
-from repro.protocols.cai_izumi_wada import SilentNStateSSR
+from repro.protocols.cai_izumi_wada import (
+    SilentNStateSSR,
+    uniform_random_ciw_counts,
+    worst_case_ciw_counts,
+)
 from repro.protocols.optimal_silent import OptimalSilentSSR
 from repro.protocols.sublinear.protocol import SublinearTimeSSR
 from repro.protocols.sync_dictionary import SyncDictionarySSR
 from repro.statics.schema import FieldSpec, IntRange, register_schema, scalar_schema
+from tests.ciw_reference import CiwJumpSimulator, FenwickTree
 
 
 def ks_statistic(a, b):
@@ -55,6 +55,22 @@ def ks_statistic(a, b):
             ),
         )
     return gap
+
+
+@contextmanager
+def wall_clock_limit(seconds):
+    """Raise ``TimeoutError`` in the block once ``seconds`` of wall time pass."""
+
+    def expire(signum, frame):
+        raise TimeoutError(f"still running after {seconds}s")
+
+    previous = signal.signal(signal.SIGALRM, expire)
+    signal.setitimer(signal.ITIMER_REAL, seconds)
+    try:
+        yield
+    finally:
+        signal.setitimer(signal.ITIMER_REAL, 0)
+        signal.signal(signal.SIGALRM, previous)
 
 
 # ---------------------------------------------------------------------------
@@ -206,7 +222,7 @@ class TestEligibility:
 
 
 # ---------------------------------------------------------------------------
-# Exact agreement with CiwJumpSimulator
+# Exact agreement with the CIW reference simulator
 # ---------------------------------------------------------------------------
 
 
@@ -488,3 +504,20 @@ class TestBookkeeping:
         assert sim.run_until_silent(max_interactions=10**7)
         assert sim.mode == "jump"
         assert sim.silent
+
+    @pytest.mark.skipif(
+        not hasattr(signal, "setitimer"), reason="needs POSIX interval timers"
+    )
+    def test_interaction_mode_run_until_silent_raises_instead_of_hanging(self):
+        protocol = SilentNStateSSR(8)
+        sim = CountSimulation(
+            protocol,
+            protocol.worst_case_configuration(),
+            rng=make_rng(48, "hang"),
+            mode="interaction",
+        )
+        with wall_clock_limit(10.0), pytest.raises(SilenceCertificationError):
+            sim.run_until_silent()
+        with wall_clock_limit(10.0), pytest.raises(SilenceCertificationError):
+            sim.run_until_silent(max_interactions=1000)
+        assert sim.interactions == 0

@@ -1,52 +1,35 @@
-"""Parity and unit tests for the vectorized kernel (`VectorSimulation`).
+"""Class-pruned jump classification and scalar stepping of the count engine.
 
-The load-bearing guarantees, mirroring the count engine's own suite:
+The load-bearing guarantees:
 
-* with ``batch=1`` the kernel is bit-exact per seed against
-  :class:`CountSimulation` (it takes the scalar path end to end);
-* jump-mode trajectories are bit-exact *regardless* of batch size --
-  the class-pruned classification registers the surviving pairs in the
-  same order as the full scan, and jump stepping is scalar;
-* batched (``batch>1``) interaction-mode runs agree in distribution
-  (KS) with the count engine on both Table 1 protocols and on a
-  genuinely randomized protocol;
-* numpy is optional: without it ``select_count_engine("vector")``
-  falls back to the pure-python engine and the class refuses to build;
-* ``repro verify``'s exact-chain oracle accepts the kernel's own
-  Monte-Carlo band at small n;
-* ``corrupt()`` resynchronizes the batched bookkeeping.
+* hiding ``silent_class`` (so every slot gets the full O(k^2) scan)
+  changes nothing per seed: the pruned scan registers the surviving
+  pairs in the same order, so ``_pair_list`` and whole trajectories
+  coincide, in jump and in auto mode;
+* on the CIW worst case, entering jump mode probes O(n) pairs instead
+  of O(n^2);
+* ``corrupt()`` drops the per-class bookkeeping with the pair cache, so
+  re-entering jump mode after a fault classifies afresh;
+* ``select_count_engine`` resolves ``"count"`` and nothing else.
 """
 
 import random
-import statistics
 
 import pytest
 
-import repro.core.kernel as kernel_module
-from repro.core.countsim import CountSimulation
-from repro.core.fastpath import worst_case_ciw_counts
-from repro.core.kernel import (
-    VectorSimulation,
-    numpy_available,
-    select_count_engine,
-)
+from repro.core.countsim import CountSimulation, select_count_engine
 from repro.core.rng import make_rng
 from repro.protocols.base import RankingProtocol
-from repro.protocols.cai_izumi_wada import SilentNStateSSR
+from repro.protocols.cai_izumi_wada import SilentNStateSSR, worst_case_ciw_counts
 from repro.protocols.optimal_silent import OptimalSilentSSR
 from repro.statics.schema import FieldSpec, IntRange, register_schema, scalar_schema
-from tests.core.test_countsim import ks_statistic
-
-requires_numpy = pytest.mark.skipif(
-    not numpy_available(), reason="vector kernel requires numpy"
-)
 
 
 class KernelCoinFlip(RankingProtocol[int]):
     """States {0, 1}: (1,1) flips the responder with prob 1/2.
 
-    A randomized pair forces the batched path to block and replay
-    through the scalar engine on every (1,1) draw.
+    A randomized pair must be replayed through the RNG on every
+    occurrence, never frozen into the memo.
     """
 
     silent = False
@@ -84,8 +67,26 @@ def _kernel_coinflip_schema(protocol: KernelCoinFlip):
     )
 
 
+def full_scan(protocol):
+    """``protocol`` with ``silent_class`` hidden on the instance."""
+    protocol.silent_class = None
+    return protocol
+
+
+class ProbeCounting(SilentNStateSSR):
+    """SilentNStateSSR that counts ``is_pair_null`` probes."""
+
+    def __init__(self, n: int):
+        super().__init__(n)
+        self.probes = 0
+
+    def is_pair_null(self, a: int, b: int) -> bool:
+        self.probes += 1
+        return super().is_pair_null(a, b)
+
+
 # ---------------------------------------------------------------------------
-# Engine selection and the numpy-optional fallback
+# Engine selection
 # ---------------------------------------------------------------------------
 
 
@@ -93,121 +94,117 @@ class TestSelection:
     def test_count_resolves_to_count_engine(self):
         assert select_count_engine("count") is CountSimulation
 
-    @requires_numpy
-    def test_vector_resolves_to_kernel(self):
-        assert select_count_engine("vector") is VectorSimulation
-
     def test_unknown_engine_rejected(self):
-        with pytest.raises(ValueError):
-            select_count_engine("warp")
-
-    def test_fallback_without_numpy(self, monkeypatch):
-        monkeypatch.setattr(kernel_module, "_np", None)
-        assert not kernel_module.numpy_available()
-        assert kernel_module.select_count_engine("vector") is CountSimulation
-        protocol = SilentNStateSSR(4)
-        with pytest.raises(RuntimeError):
-            VectorSimulation(protocol, [0, 1, 2, 3], rng=make_rng(1, "fallback"))
-
-    @requires_numpy
-    def test_invalid_batch_rejected(self):
-        protocol = SilentNStateSSR(4)
-        with pytest.raises(ValueError):
-            VectorSimulation(
-                protocol, [0, 1, 2, 3], rng=make_rng(2, "batch"), batch=0
-            )
+        for name in ("warp", "vector"):
+            with pytest.raises(ValueError):
+                select_count_engine(name)
 
 
 # ---------------------------------------------------------------------------
-# Bit-exact parity with CountSimulation
+# Pruned vs full scan: identical pairs, identical trajectories
 # ---------------------------------------------------------------------------
 
 
-@requires_numpy
 class TestScalarParity:
-    """batch=1 pins the scalar path: per-seed trajectories coincide."""
+    """The pruned scan is an optimization, never a semantic change."""
 
     @pytest.mark.parametrize("seed", [0, 1, 2])
     def test_auto_mode_trajectory_is_bit_exact(self, seed):
         n = 48
-        protocol_a, protocol_b = SilentNStateSSR(n), SilentNStateSSR(n)
+        protocol_a, protocol_b = SilentNStateSSR(n), full_scan(SilentNStateSSR(n))
         rng_a = make_rng(seed, "kernel-exact")
         states = protocol_a.random_configuration(rng_a)
-        count = CountSimulation(protocol_a, states, rng=rng_a)
-        vector = VectorSimulation(
-            protocol_b, states, rng=make_rng(seed, "kernel-exact"), batch=1
-        )
-        # Re-consume the configuration draw on the kernel's rng so both
-        # engines see identical scheduling streams from here on.
-        protocol_b.random_configuration(vector.rng)
+        pruned = CountSimulation(protocol_a, states, rng=rng_a)
+        rng_b = make_rng(seed, "kernel-exact")
+        # Consume the configuration draw so both scheduling streams align.
+        protocol_b.random_configuration(rng_b)
+        full = CountSimulation(protocol_b, states, rng=rng_b)
         for _ in range(200):
-            count.run(500)
-            vector.run(500)
-            assert vector.interactions == count.interactions
-            assert vector.events == count.events
-            assert vector.changes == count.changes
-            assert vector.mode == count.mode
-            assert vector.occupancy() == count.occupancy()
-            if count.silent:
+            pruned.run(500)
+            full.run(500)
+            assert full.interactions == pruned.interactions
+            assert full.events == pruned.events
+            assert full.changes == pruned.changes
+            assert full.mode == pruned.mode
+            assert full.occupancy() == pruned.occupancy()
+            if pruned.silent:
                 break
-        assert count.silent and vector.silent
-        assert vector.streak_start == count.streak_start
+        assert pruned.silent and full.silent
+        assert pruned.mode == "jump"
+        assert full._pair_list == pruned._pair_list
+        assert full.streak_start == pruned.streak_start
 
     def test_jump_mode_is_bit_exact_even_when_batched(self):
-        """Class-pruned classification preserves pair-registration order,
-        so jump trajectories match the count engine at any batch size."""
+        """Jump mode batches null runs into one geometric draw; the pruned
+        and full classifications drive it through identical trajectories."""
         n = 96
         counts = worst_case_ciw_counts(n)
         runs = {}
-        for name, cls, batch in [
-            ("count", CountSimulation, None),
-            ("vector", VectorSimulation, None),
+        for name, protocol in [
+            ("pruned", SilentNStateSSR(n)),
+            ("full", full_scan(SilentNStateSSR(n))),
         ]:
-            protocol = SilentNStateSSR(n)
-            kwargs = {} if cls is CountSimulation else {"batch": batch}
-            sim = cls(
+            sim = CountSimulation(
                 protocol,
                 protocol.counts_to_configuration(counts),
                 rng=make_rng(7, "kernel-jump"),
                 mode="jump",
-                **kwargs,
             )
             assert sim.run_until_silent()
             runs[name] = (sim.interactions, sim.events, sim.streak_start)
-        assert runs["vector"] == runs["count"]
+        assert runs["pruned"] == runs["full"]
 
-    def test_randomized_protocol_batch1_parity(self):
-        n, horizon = 8, 3000
-        protocol_a, protocol_b = KernelCoinFlip(n), KernelCoinFlip(n)
-        states = [1] * n
-        count = CountSimulation(
-            protocol_a, states, rng=make_rng(9, "kernel-coin"), mode="interaction"
+    @pytest.mark.parametrize(
+        "make_protocol",
+        [lambda: SilentNStateSSR(32), lambda: OptimalSilentSSR(16)],
+        ids=["ciw", "optimal-silent"],
+    )
+    @pytest.mark.parametrize("seed", [0, 1, 2])
+    def test_hidden_silent_class_gives_same_pairs_and_trajectory(
+        self, make_protocol, seed
+    ):
+        runs = []
+        for protocol in (make_protocol(), full_scan(make_protocol())):
+            rng = make_rng(seed, "kernel-hidden")
+            states = protocol.random_configuration(rng)
+            sim = CountSimulation(protocol, states, rng=rng, mode="jump")
+            pairs = list(sim._pair_list)
+            assert sim.run_until_silent()
+            runs.append(
+                (pairs, sim._pair_list, sim.interactions, sim.events,
+                 sim.changes, sim.streak_start, sim.occupancy())
+            )
+        pruned, full = runs
+        assert pruned[0], "jump entry must register some effective pairs"
+        assert pruned == full
+
+
+class TestPrunedProbeCount:
+    def test_ciw_worst_case_jump_entry_is_linear(self):
+        n = 512
+        protocol = ProbeCounting(n)
+        sim = CountSimulation(
+            protocol,
+            protocol.counts_to_configuration(worst_case_ciw_counts(n)),
+            rng=make_rng(8, "kernel-probes"),
+            mode="jump",
         )
-        vector = VectorSimulation(
-            protocol_b,
-            states,
-            rng=make_rng(9, "kernel-coin"),
-            mode="interaction",
-            batch=1,
-        )
-        count.run(horizon)
-        vector.run(horizon)
-        assert vector.occupancy() == count.occupancy()
-        assert vector.changes == count.changes
-        # Identical RNG consumption: the streams stay aligned after.
-        assert vector.rng.random() == count.rng.random()
+        # One diagonal probe per occupied rank: n - 1 probes, against
+        # (n - 1)^2 for the full scan.
+        assert protocol.probes <= 2 * n
+        assert sim.mode == "jump"
+        assert len(sim._pair_list) == n - 1
 
 
 # ---------------------------------------------------------------------------
-# Batched stepping semantics
+# Scalar stepping semantics
 # ---------------------------------------------------------------------------
 
 
-@requires_numpy
 class TestBatchedStepping:
     def test_interaction_budget_is_exact(self):
         protocol = SilentNStateSSR(8)
-        sim = VectorSimulation(
+        sim = CountSimulation(
             protocol,
             protocol.worst_case_configuration(),
             rng=make_rng(11, "kernel-budget"),
@@ -223,7 +220,7 @@ class TestBatchedStepping:
         n = 64
         protocol = SilentNStateSSR(n)
         rng = make_rng(12, "kernel-switch")
-        sim = VectorSimulation(protocol, protocol.random_configuration(rng), rng=rng)
+        sim = CountSimulation(protocol, protocol.random_configuration(rng), rng=rng)
         assert sim.mode == "interaction"
         assert sim.run_until_silent(max_interactions=10**8)
         assert sim.mode == "jump"
@@ -232,131 +229,31 @@ class TestBatchedStepping:
 
     def test_randomized_pairs_replay_scalar(self):
         protocol = KernelCoinFlip(4)
-        sim = VectorSimulation(
+        sim = CountSimulation(
             protocol, [1, 1, 1, 1], rng=make_rng(13, "kernel-memo"), mode="interaction"
         )
         sim.run(400)
-        # Freezing the first (1,1) outcome into the dense table would
-        # either pin the population or collapse it; under the true 1/2
-        # law both states stay occupied with overwhelming probability.
+        # Freezing the first (1,1) outcome would either pin the
+        # population or collapse it; under the true 1/2 law both states
+        # stay occupied with overwhelming probability.
         occupancy = sim.occupancy()
         assert occupancy.get((0, 1), 0) >= 1
         assert occupancy.get((0, 0), 0) >= 1
-
-    def test_table_overflow_disables_batching_not_correctness(self, monkeypatch):
-        monkeypatch.setattr(kernel_module, "MAX_TABLE_DIM", 4)
-        n = 16
-        protocol = SilentNStateSSR(n)
-        rng = make_rng(14, "kernel-cap")
-        sim = VectorSimulation(
-            protocol, protocol.random_configuration(rng), rng=rng
-        )
-        assert sim.run_until_silent(max_interactions=10**8)
-        assert sim._batch_disabled  # more than 4 slots were occupied
-        assert sim.correct
 
     def test_corrupt_resyncs_batched_state(self):
         n = 32
         protocol = SilentNStateSSR(n)
         rng = make_rng(15, "kernel-corrupt")
-        sim = VectorSimulation(protocol, protocol.random_configuration(rng), rng=rng)
+        sim = CountSimulation(protocol, protocol.random_configuration(rng), rng=rng)
         assert sim.run_until_silent(max_interactions=10**8)
+        assert sim.mode == "jump"
         victims = sim.sample_victim_slots(4, rng)
         sim.corrupt(victims, [protocol.random_state(rng) for _ in victims])
+        assert sim.mode == "interaction"
+        assert sim._classified_by_class == {}
         assert sum(sim.occupancy().values()) == n
         assert sim.run_until_silent(max_interactions=10**8)
+        assert sim.mode == "jump"
         assert sim.correct
-
-
-# ---------------------------------------------------------------------------
-# Distributional equivalence of the batched path
-# ---------------------------------------------------------------------------
-
-
-@requires_numpy
-@pytest.mark.slow
-class TestBatchedDistribution:
-    """Seeded KS checks: batched kernel vs count engine laws coincide.
-
-    Same thresholds as the count engine's own equivalence suite: with
-    120-vs-120 samples the 5%-level KS critical value is ~0.175.
-    """
-
-    TRIALS = 120
-
-    def _stabilization_times(self, make_protocol, make_states, engine, label):
-        times = []
-        for trial in range(self.TRIALS):
-            protocol = make_protocol()
-            rng = make_rng(51, label, trial)
-            states = make_states(protocol, rng)
-            cls = CountSimulation if engine == "count" else VectorSimulation
-            sim = cls(protocol, states, rng=rng)
-            assert sim.run_until_silent(max_interactions=10**8)
-            times.append(sim.streak_start or 0)
-        return times
-
-    def test_ciw_convergence_interactions(self):
-        def protocol():
-            return SilentNStateSSR(6)
-
-        def states(p, rng):
-            return p.random_configuration(rng)
-
-        count_times = self._stabilization_times(protocol, states, "count", "ks-c")
-        vector_times = self._stabilization_times(protocol, states, "vector", "ks-v")
-        assert ks_statistic(count_times, vector_times) < 0.17
-        assert statistics.mean(vector_times) == pytest.approx(
-            statistics.mean(count_times), rel=0.15
-        )
-
-    def test_optimal_silent_convergence_interactions(self):
-        def protocol():
-            return OptimalSilentSSR(6)
-
-        def states(p, rng):
-            return p.duplicate_rank_configuration(rank=1)
-
-        count_times = self._stabilization_times(protocol, states, "count", "ks-os-c")
-        vector_times = self._stabilization_times(protocol, states, "vector", "ks-os-v")
-        assert ks_statistic(count_times, vector_times) < 0.17
-        assert statistics.mean(vector_times) == pytest.approx(
-            statistics.mean(count_times), rel=0.15
-        )
-
-    def test_randomized_protocol_occupancy_distribution(self):
-        n, horizon = 6, 60
-
-        def ones_after(engine, label):
-            ones = []
-            for trial in range(self.TRIALS):
-                protocol = KernelCoinFlip(n)
-                rng = make_rng(52, label, trial)
-                states = protocol.random_configuration(rng)
-                cls = CountSimulation if engine == "count" else VectorSimulation
-                sim = cls(protocol, states, rng=rng)
-                sim.run(horizon)
-                ones.append(sim.occupancy().get((0, 1), 0))
-            return ones
-
-        count_ones = ones_after("count", "ks-coin-c")
-        vector_ones = ones_after("vector", "ks-coin-v")
-        assert ks_statistic(count_ones, vector_ones) < 0.17
-
-
-# ---------------------------------------------------------------------------
-# Exact-chain oracle acceptance
-# ---------------------------------------------------------------------------
-
-
-@requires_numpy
-@pytest.mark.slow
-class TestVerifyOracle:
-    def test_vector_estimate_within_exact_band(self):
-        from repro.statics.oracle import verify_target
-
-        report = verify_target("SilentNStateSSR", n=4, trials=300)
-        assert report.ok, [f.message for f in report.findings]
-        vector = [e for e in report.estimates if e.engine == "vector"]
-        assert vector, "the oracle must exercise the vector engine"
-        assert vector[0].within_band
+        # Re-entry classified afresh: no pair registered twice.
+        assert len(set(sim._pair_list)) == len(sim._pair_list)

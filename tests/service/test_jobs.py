@@ -57,6 +57,16 @@ class TestSpecValidation:
         with pytest.raises(JobValidationError, match="unknown adversary"):
             JobSpec.from_payload({"kind": "chaos", "spec": {"adversary": "gremlin"}})
 
+    def test_unknown_chaos_engine_rejected(self):
+        with pytest.raises(JobValidationError, match="engine"):
+            JobSpec.from_payload({"kind": "chaos", "spec": {"engine": "vector"}})
+
+    def test_run_job_has_no_engine_field(self):
+        with pytest.raises(JobValidationError, match="unknown parameter"):
+            JobSpec.from_payload(
+                {"kind": "run", "spec": {"experiment": "table1", "engine": "count"}}
+            )
+
     def test_bench_requires_suite(self):
         with pytest.raises(JobValidationError, match="suite"):
             JobSpec.from_payload({"kind": "bench", "spec": {}})
